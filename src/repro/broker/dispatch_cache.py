@@ -18,8 +18,9 @@ can observe*:
   from numbers;
 - any *other* JMS header a selector on the topic actually references
   (``JMSPriority``, ``JMSTimestamp``, …) is appended via
-  ``header_fields``, computed by the broker from the installed
-  selectors' identifier sets.
+  ``header_fields``, taken from the topic's
+  :class:`~repro.broker.dispatch.ScanTable` (the installed selectors'
+  identifier sets intersected with :data:`VOLATILE_HEADERS`).
 
 Cache entries are invalidated by the broker whenever the subscription
 set changes (subscribe/unsubscribe/crash) or the planning mode changes
@@ -36,25 +37,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from .dispatch import DispatchPlan
+from .dispatch import VOLATILE_HEADERS, DispatchPlan
 from .message import Message
 from .subscriptions import Subscription
 
 __all__ = ["DispatchMemo", "VOLATILE_HEADERS", "message_fingerprint"]
-
-#: Headers a selector may reference that are NOT already part of the
-#: fingerprint key (topic covers ``JMSDestination``; the correlation ID
-#: has its own key slot).  The broker includes the subset its installed
-#: selectors mention via ``header_fields``.
-VOLATILE_HEADERS = frozenset(
-    {
-        "JMSMessageID",
-        "JMSPriority",
-        "JMSTimestamp",
-        "JMSDeliveryMode",
-        "JMSRedelivered",
-    }
-)
 
 
 def message_fingerprint(message: Message, header_fields: Tuple[str, ...] = ()) -> object:
@@ -67,10 +54,10 @@ def message_fingerprint(message: Message, header_fields: Tuple[str, ...] = ()) -
     never compares the (unorderable) type or value slots.
     """
     props = tuple(
-        sorted((name, value.__class__, value) for name, value in message.properties.items())
+        sorted([(name, value.__class__, value) for name, value in message.properties.items()])
     )
     if header_fields:
-        headers = tuple(message.header(name) for name in header_fields)
+        headers = tuple([message.header(name) for name in header_fields])
         return (message.topic, message.correlation_id, props, headers)
     return (message.topic, message.correlation_id, props)
 

@@ -39,6 +39,16 @@ MAX_CORRELATION_ID_LENGTH = 128
 
 _message_ids = itertools.count(1)
 
+#: Selector identifier -> attribute of every JMS header but ``JMSDeliveryMode``.
+_HEADER_ATTRIBUTES = {
+    "JMSMessageID": "message_id",
+    "JMSCorrelationID": "correlation_id",
+    "JMSPriority": "priority",
+    "JMSTimestamp": "timestamp",
+    "JMSDestination": "topic",
+    "JMSRedelivered": "redelivered",
+}
+
 
 class DeliveryMode(enum.Enum):
     """JMS delivery modes.
@@ -147,18 +157,9 @@ class Message:
 
     def header(self, name: str) -> Any:
         """Access JMS header fields by their selector identifier."""
-        mapping = {
-            "JMSMessageID": self.message_id,
-            "JMSCorrelationID": self.correlation_id,
-            "JMSPriority": self.priority,
-            "JMSTimestamp": self.timestamp,
-            "JMSDeliveryMode": self.delivery_mode.value,
-            "JMSDestination": self.topic,
-            "JMSRedelivered": self.redelivered,
-        }
-        if name not in mapping:
-            raise KeyError(name)
-        return mapping[name]
+        if name == "JMSDeliveryMode":
+            return self.delivery_mode.value
+        return getattr(self, _HEADER_ATTRIBUTES[name])  # KeyError(name) if unknown
 
     def lookup(self, identifier: str) -> Any:
         """Resolve a selector identifier: header field or property.

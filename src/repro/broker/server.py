@@ -16,8 +16,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .dispatch import DispatchPlan, plan_dispatch, plan_dispatch_batch
-from .dispatch_cache import VOLATILE_HEADERS, DispatchMemo, message_fingerprint
+from .dispatch import DispatchPlan, ScanTable, plan_dispatch, plan_dispatch_batch
+from .dispatch_cache import DispatchMemo, message_fingerprint
 from .errors import SubscriptionError
 from .filters import MatchAllFilter, MessageFilter, PropertyFilter
 from .message import DeliveredMessage, DeliveryMode, Message
@@ -192,6 +192,9 @@ class Broker:
         #: :meth:`install_dispatch_memo`.
         self._memos: Dict[str, DispatchMemo] = {}
         self._memo_maxsize: Optional[int] = None
+        #: Per-topic scan tables (lazily built on the first plan, dropped
+        #: together with the memos).  See :meth:`_scan_table`.
+        self._tables: Dict[str, ScanTable] = {}
 
     # ------------------------------------------------------------------
     # Subscriber management
@@ -285,9 +288,10 @@ class Broker:
         self, topic_name: str, subscription: Subscription, *, added: bool
     ) -> None:
         """Keep the derived dispatch structures consistent with the
-        subscription set: memoized plans for the topic are stale, and an
-        installed filter index is updated incrementally."""
+        subscription set: the topic's scan table and memoized plans are
+        stale, and an installed filter index is updated incrementally."""
         self._memos.pop(topic_name, None)
+        self._tables.pop(topic_name, None)
         if not self._indices:
             return
         index = self._indices.get(topic_name)
@@ -310,11 +314,7 @@ class Broker:
 
     def filter_count(self, topic_name: str) -> int:
         """Number of non-trivial filters installed on a topic (``n_fltr``)."""
-        return sum(
-            1
-            for s in self._subscriptions.get(topic_name, {}).values()
-            if not s.filter.is_trivial
-        )
+        return self._scan_table(topic_name).filters_evaluated
 
     # ------------------------------------------------------------------
     # Connection lifecycle (durable vs. non-durable semantics)
@@ -408,7 +408,7 @@ class Broker:
         self.queues.crash_all(now)
         self._had_filter_index = self.uses_filter_index
         self._indices = {}
-        self._memos = {}
+        self._drop_plans()
         return BrokerCrashReport(
             subscriptions_dropped=dropped,
             subscribers_disconnected=disconnected,
@@ -457,50 +457,28 @@ class Broker:
             self.stats.expired += 1
             return PublishResult(message, 0, 0, 0, 0, expired=True)
         plan = self._plan(message)
-        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-            # Write-ahead: a persistent message about to be *retained* for
-            # offline durable subscribers must hit the journal before any
-            # in-memory retention, or a crash in between loses it.  The
-            # ``owed`` list names the subscriptions a replay must repay.
-            from ..durability.journal import JournalWriteError, durable_key
-
-            owed = [
-                durable_key(s.subscriber.subscriber_id, message.topic)
-                for s in plan.matches
-                if not s.active and s.durable
-            ]
-            if owed:
-                try:
-                    self.journal.log_publish(
-                        "topic", message.topic, message, owed=owed, now=now
-                    )
-                except JournalWriteError:
-                    self.journal_write_failures += 1
-        delivered = retained = dropped = 0
+        if self.journal is not None:
+            self._journal_retention(message, plan.matches, now)
+        delivered = retained = dropped = evicted = 0
         for subscription in plan.matches:
-            if subscription.active:
-                evicted = subscription.subscriber.deliver(
-                    message.copy_for(subscription.subscriber.subscriber_id), now=now
+            subscriber = subscription.subscriber
+            if subscriber.connected:
+                evicted += subscriber.deliver(
+                    message.copy_for(subscriber.subscriber_id), now=now
                 )
-                self.stats.record_delivery_outcome(inbox_dropped=evicted)
                 delivered += 1
             elif subscription.durable:
                 subscription.retain(message)
                 retained += 1
-                self.stats.record_delivery_outcome(retained=1)
             else:
                 dropped += 1
-                self.stats.record_delivery_outcome(dropped_offline=1)
+        self.stats.record_delivery_outcome(
+            inbox_dropped=evicted, retained=retained, dropped_offline=dropped
+        )
         self.stats.record_dispatch(
             message.topic, copies=delivered + retained, filters_evaluated=plan.filters_evaluated
         )
-        return PublishResult(
-            message=message,
-            filters_evaluated=plan.filters_evaluated,
-            copies_delivered=delivered,
-            copies_retained=retained,
-            copies_dropped=dropped,
-        )
+        return PublishResult(message, plan.filters_evaluated, delivered, retained, dropped)
 
     def publish_batch(
         self, messages: Sequence[Message], now: float = 0.0
@@ -559,17 +537,13 @@ class Broker:
             topic_name = message.topic
             fields = header_fields.get(topic_name)
             if fields is None:
-                if use_memo:
-                    fields = self._memo_for(topic_name).header_fields
-                else:
-                    fields = self._referenced_headers(topic_name)
-                header_fields[topic_name] = fields
+                fields = header_fields[topic_name] = self._scan_table(topic_name).header_fields
             groups.setdefault(message_fingerprint(message, fields), []).append(index)
 
         # -- plan each group once (memo probe, then batched cold path) --
         group_members = list(groups.values())
-        matches_by: Dict[int, tuple] = {}
-        bills: Dict[int, int] = {}
+        matches_by: List[tuple] = [()] * count
+        bills: List[int] = [0] * count
         cold_by_topic: "OrderedDict[str, List[int]]" = OrderedDict()
         warm_groups = 0
         for position, members in enumerate(group_members):
@@ -587,7 +561,6 @@ class Broker:
                     shared = plan.matches
                     for index in members:
                         matches_by[index] = shared
-                        bills[index] = 0
                     continue
             cold_by_topic.setdefault(representative.topic, []).append(position)
         for topic_name, positions in cold_by_topic.items():
@@ -600,31 +573,14 @@ class Broker:
                 shared = plan.matches
                 for index in members:
                     matches_by[index] = shared
-                    bills[index] = 0
                 # The evaluation happened once, for the representative:
                 # the group's first message carries the whole bill.
                 bills[members[0]] = plan.filters_evaluated
 
         # -- write-ahead journaling, back to back (group-commit ride) --
         if self.journal is not None:
-            from ..durability.journal import JournalWriteError, durable_key
-
             for index in live:
-                message = messages[index]
-                if message.delivery_mode is not DeliveryMode.PERSISTENT:
-                    continue
-                owed = [
-                    durable_key(s.subscriber.subscriber_id, message.topic)
-                    for s in matches_by[index]
-                    if not s.active and s.durable
-                ]
-                if owed:
-                    try:
-                        self.journal.log_publish(
-                            "topic", message.topic, message, owed=owed, now=now
-                        )
-                    except JournalWriteError:
-                        self.journal_write_failures += 1
+                self._journal_retention(messages[index], matches_by[index], now)
 
         # -- coalesced delivery: contiguous same-plan runs in input order
         cursor = 0
@@ -637,41 +593,60 @@ class Broker:
             run_indices = live[start:cursor]
             run = [messages[index] for index in run_indices]
             delivered = retained = dropped = 0  # per message, uniform in a run
+            evicted = 0
             for subscription in shared:
-                if subscription.active:
-                    subscriber = subscription.subscriber
-                    evicted = subscriber.deliver_many(
+                subscriber = subscription.subscriber
+                if subscriber.connected:
+                    evicted += subscriber.deliver_many(
                         [m.copy_for(subscriber.subscriber_id) for m in run], now=now
                     )
-                    self.stats.record_delivery_outcome(inbox_dropped=evicted)
                     delivered += 1
                 elif subscription.durable:
                     for message in run:
                         subscription.retain(message)
                     retained += 1
-                    self.stats.record_delivery_outcome(retained=len(run))
                 else:
                     dropped += 1
-                    self.stats.record_delivery_outcome(dropped_offline=len(run))
-            for index in run_indices:
-                message = messages[index]
+            self.stats.record_delivery_outcome(
+                inbox_dropped=evicted,
+                retained=retained * len(run),
+                dropped_offline=dropped * len(run),
+            )
+            for index, message in zip(run_indices, run):
                 bill = bills[index]
                 self.stats.record_dispatch(
                     message.topic, copies=delivered + retained, filters_evaluated=bill
                 )
-                results[index] = PublishResult(
-                    message=message,
-                    filters_evaluated=bill,
-                    copies_delivered=delivered,
-                    copies_retained=retained,
-                    copies_dropped=dropped,
-                )
+                results[index] = PublishResult(message, bill, delivered, retained, dropped)
 
         final = tuple(result for result in results if result is not None)
         assert len(final) == count  # every message got a result
         return BatchPublishResult(
             results=final, groups=len(group_members), warm_groups=warm_groups
         )
+
+    def _journal_retention(
+        self, message: Message, matches: Sequence[Subscription], now: float
+    ) -> None:
+        """Write-ahead: a persistent message about to be *retained* for
+        offline durable subscribers must hit the journal before any
+        in-memory retention, or a crash in between loses it.  The
+        ``owed`` list names the subscriptions a replay must repay."""
+        if message.delivery_mode is not DeliveryMode.PERSISTENT:
+            return
+        from ..durability.journal import JournalWriteError, durable_key
+
+        owed = [
+            durable_key(s.subscriber.subscriber_id, message.topic)
+            for s in matches
+            if not s.subscriber.connected and s.durable
+        ]
+        if owed:
+            assert self.journal is not None
+            try:
+                self.journal.log_publish("topic", message.topic, message, owed=owed, now=now)
+            except JournalWriteError:
+                self.journal_write_failures += 1
 
     def dry_run(self, message: Message) -> DispatchPlan:
         """Match without delivering (used by tests and what-if tools)."""
@@ -695,15 +670,30 @@ class Broker:
             assert self._memo_maxsize is not None
             memo = self._memos[topic_name] = DispatchMemo(
                 self._memo_maxsize,
-                header_fields=self._referenced_headers(topic_name),
+                header_fields=self._scan_table(topic_name).header_fields,
             )
         return memo
+
+    def _scan_table(self, topic_name: str) -> ScanTable:
+        """The topic's subscriptions lowered for the linear scan, built on
+        first use and cached until the subscription set changes."""
+        table = self._tables.get(topic_name)
+        if table is None:
+            table = self._tables[topic_name] = ScanTable(
+                self._subscriptions.get(topic_name, {}).values()
+            )
+        return table
+
+    def _drop_plans(self) -> None:
+        """Forget every topic's scan table and memoized plans."""
+        self._memos = {}
+        self._tables = {}
 
     def _plan_cold(self, message: Message) -> DispatchPlan:
         index = self._indices.get(message.topic)
         if index is not None:
             return index.plan(message)  # type: ignore[attr-defined]
-        return plan_dispatch(message, self.subscriptions(message.topic))
+        return plan_dispatch(message, self._scan_table(message.topic))
 
     def _plan_cold_batch(
         self, topic_name: str, messages: Sequence[Message]
@@ -715,18 +705,7 @@ class Broker:
         index = self._indices.get(topic_name)
         if index is not None:
             return index.plan_batch(messages)  # type: ignore[attr-defined]
-        return plan_dispatch_batch(messages, self.subscriptions(topic_name))
-
-    def _referenced_headers(self, topic_name: str) -> tuple:
-        """Volatile headers the topic's selectors can observe — these must
-        join the memo fingerprint or a cached plan could be served to a
-        message that differs only in, say, ``JMSPriority``."""
-        fields = set()
-        for subscription in self._subscriptions.get(topic_name, {}).values():
-            filter_ = subscription.filter
-            if isinstance(filter_, PropertyFilter):
-                fields.update(filter_.selector.identifiers & VOLATILE_HEADERS)
-        return tuple(sorted(fields))
+        return plan_dispatch_batch(messages, self._scan_table(topic_name))
 
     # ------------------------------------------------------------------
     # Ablation: shared filter evaluation (what FioranoMQ does NOT do)
@@ -752,12 +731,12 @@ class Broker:
             )
             for topic in self.topics
         }
-        self._memos = {}
+        self._drop_plans()
 
     def remove_filter_index(self) -> None:
         """Return to the FioranoMQ-style linear scan."""
         self._indices = {}
-        self._memos = {}
+        self._drop_plans()
 
     @property
     def uses_filter_index(self) -> bool:
@@ -780,12 +759,12 @@ class Broker:
         if maxsize < 1:
             raise ValueError(f"memo maxsize must be >= 1, got {maxsize}")
         self._memo_maxsize = maxsize
-        self._memos = {}
+        self._drop_plans()
 
     def remove_dispatch_memo(self) -> None:
         """Plan every message from scratch again."""
         self._memo_maxsize = None
-        self._memos = {}
+        self._drop_plans()
 
     @property
     def uses_dispatch_memo(self) -> bool:

@@ -260,23 +260,19 @@ def bench_batch_degeneration(
         for rho in loads:
             model = MXG1Queue.from_utilization(rho, law, service)
             lam = model.message_rate
-            # Eq. 4 / Eq. 5, written out so the check needs no numpy.
+            # Eq. 4 / Eq. 5, written out independently of the M/G/1 class.
             pk_mean = lam * service.m2 / (2.0 * (1.0 - rho))
             pk_moment2 = 2.0 * pk_mean**2 + lam * service.m3 / (3.0 * (1.0 - rho))
             err = max(
                 abs(model.mean_wait - pk_mean),
                 abs(model.wait_moment2 - pk_moment2),
             )
-            try:
-                mg1 = model.as_mg1()
-            except ImportError:  # pragma: no cover - numpy-less fallback
-                mg1 = None
-            if mg1 is not None:
-                err = max(
-                    err,
-                    abs(model.mean_wait - mg1.mean_wait),
-                    abs(model.wait_moment2 - mg1.wait_moment2),
-                )
+            mg1 = model.as_mg1()
+            err = max(
+                err,
+                abs(model.mean_wait - mg1.mean_wait),
+                abs(model.wait_moment2 - mg1.wait_moment2),
+            )
             max_err = max(max_err, err)
             rows.append(
                 {
@@ -285,7 +281,7 @@ def bench_batch_degeneration(
                     "mean_wait": model.mean_wait,
                     "pk_mean_wait": pk_mean,
                     "abs_err": err,
-                    "checked_mg1": mg1 is not None,
+                    "checked_mg1": True,
                 }
             )
     return {"cells": rows, "max_abs_err": max_err}

@@ -47,7 +47,7 @@ measurements; ``mesh`` runs the sharded-mesh chaos harness (every fault
 kind at every rebalance protocol step of every membership event, assert
 zero acked-message loss, zero double-ownership, mesh-wide conservation)
 and, with ``--capacity``, the superposed-M/G/1 capacity model with its
-DES cross-check (numpy-backed; skipped gracefully without numpy);
+DES cross-check;
 ``batch`` runs the batched hot-path bench (one-call ``publish_batch``
 vs. the sequential publish loop, the M^X/G/1 batch-arrival model vs.
 the DES, and the b=1 degeneration to Eqs. 4-5) and, with ``--check``,
@@ -60,10 +60,6 @@ Exit codes (uniform across ``lint`` and ``check`` so CI and editors can
 consume them): **0** clean, **1** findings (or, for experiment commands,
 a violated invariant / failed gate), **2** usage error (bad flags,
 unreadable input, malformed baseline).
-
-The analysis imports (numpy/scipy-backed) are deferred into the command
-handlers: ``lint`` and ``check`` run on the standard library alone, so
-the static gates work in minimal environments too.
 """
 
 from __future__ import annotations
@@ -1000,37 +996,34 @@ def _run_mesh(args: argparse.Namespace) -> int:
                 )
     print(f"total chaos points: {total_points}")
     if args.capacity:
-        try:
-            from .architectures import SystemParameters
-            from .core import CORRELATION_ID_COSTS
-            from .mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
-        except ImportError as exc:
-            print(f"capacity model skipped (numpy stack unavailable: {exc})")
-        else:
-            params = SystemParameters(
-                costs=CORRELATION_ID_COSTS,
-                publishers=2,
-                subscribers=8,
-                filters_per_subscriber=10,
-                mean_replication=1.0,
-                rho=0.9,
-            )
-            curve = mesh_capacity_curve(params, [1, 2, 4, 8])
-            print("\ncapacity vs shard count (partitioned placement, uniform ring):")
-            for count, point in sorted(curve.items()):
-                print(
-                    f"  N={count}: {point.capacity:10.1f} msg/s "
-                    f"(skew={point.skew:.3f})"
-                )
-            validation = validate_mesh_capacity(params, horizon=100.0)
+        from .architectures import SystemParameters
+        from .core import CORRELATION_ID_COSTS
+        from .mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
+
+        params = SystemParameters(
+            costs=CORRELATION_ID_COSTS,
+            publishers=2,
+            subscribers=8,
+            filters_per_subscriber=10,
+            mean_replication=1.0,
+            rho=0.9,
+        )
+        curve = mesh_capacity_curve(params, [1, 2, 4, 8])
+        print("\ncapacity vs shard count (partitioned placement, uniform ring):")
+        for count, point in sorted(curve.items()):
             print(
-                f"DES cross-check: max rel err "
-                f"{validation.max_rel_err * 100:.2f}% over N={{1,2,4,8}} "
-                f"(tolerance {validation.tolerance * 100:.0f}%)"
+                f"  N={count}: {point.capacity:10.1f} msg/s "
+                f"(skew={point.skew:.3f})"
             )
-            if not validation.ok:
-                ok = False
-                print("  capacity VALIDATION FAILED")
+        validation = validate_mesh_capacity(params, horizon=100.0)
+        print(
+            f"DES cross-check: max rel err "
+            f"{validation.max_rel_err * 100:.2f}% over N={{1,2,4,8}} "
+            f"(tolerance {validation.tolerance * 100:.0f}%)"
+        )
+        if not validation.ok:
+            ok = False
+            print("  capacity VALIDATION FAILED")
     return 0 if ok else 1
 
 

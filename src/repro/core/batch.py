@@ -26,11 +26,6 @@ With ``S`` the per-message service time (``W = V + Σ_{i=1}^{P} S_i``):
 At ``X ≡ 1`` every batch-size factorial moment above the first vanishes,
 ``U = S``, and both formulas degenerate *exactly* to the paper's Eqs. 4–5
 — the acceptance gate checks this to 1e-12 against :class:`~repro.core.mg1.MG1Queue`.
-
-This module is numpy-free at import time (``repro lint`` / ``repro
-check`` must run without the optional ``fast`` extra); the
-:meth:`MXG1Queue.as_mg1` cross-check imports :mod:`repro.core.mg1`
-lazily because that module needs numpy for its Gamma tail.
 """
 
 from __future__ import annotations
@@ -38,12 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, List, Protocol
+from typing import Any, List, Protocol
 
+from .mg1 import MG1Queue
 from .moments import Moments
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .mg1 import MG1Queue
 
 __all__ = [
     "BatchSizeLaw",
@@ -145,8 +138,7 @@ class GeometricBatchSize:
         return (p**2 - 6.0 * p + 6.0) / p**3
 
     def sample(self, rng: Any, count: int) -> List[int]:
-        # Both numpy's Generator and the pure-python fallback expose
-        # ``geometric(p, size)`` with support {1, 2, ...}.
+        # numpy's ``Generator.geometric`` has support {1, 2, ...}.
         return [int(value) for value in rng.geometric(self.p, size=count)]
 
     def describe(self) -> dict:
@@ -314,15 +306,13 @@ class MXG1Queue:
         return self.mean_wait / single.mean_wait
 
     # ------------------------------------------------------------------
-    def as_mg1(self) -> "MG1Queue":
+    def as_mg1(self) -> MG1Queue:
         """The M/G/1 queue with the same per-message rate and service.
 
         At ``X ≡ 1`` its Eqs. 4–5 moments must equal this model's to
         1e-12 — the degeneration check in ``tools/bench_gate.py --suite
-        batch``.  Imported lazily: :mod:`repro.core.mg1` needs numpy.
+        batch``.
         """
-        from .mg1 import MG1Queue
-
         return MG1Queue(arrival_rate=self.message_rate, service=self.service)
 
     def describe(self) -> dict:

@@ -450,10 +450,12 @@ class ShardedBroker:
         slice through :meth:`~repro.broker.server.Broker.publish_batch`
         (grouped planning, coalesced delivery).  Returns per-message
         results in input order, ``None`` where the scalar :meth:`publish`
-        would have refused (owner migrating or unavailable); the refusal
-        counters count messages, matching the sequential loop.
+        would have refused (owner migrating or unavailable, or expired by
+        the time it lands after ``hop_latency``); the refusal counters
+        count messages, matching the sequential loop.
         """
         results: List[Optional[PublishResult]] = [None] * len(messages)
+        arrival = now + self.hop_latency
         routes: Dict[str, "Shard | str"] = {}
         shard_slices: "OrderedDict[str, List[int]]" = OrderedDict()
         for index, message in enumerate(messages):
@@ -479,10 +481,13 @@ class ShardedBroker:
             else:
                 assert isinstance(decision, Shard)
                 self.routed_publishes += 1
+                if self.hop_latency > 0.0 and message.expired(arrival):
+                    self.expired_on_hop += 1
+                    continue
                 shard_slices.setdefault(decision.shard_id, []).append(index)
         for shard_id, indices in shard_slices.items():
             batch = self._shards[shard_id].broker.publish_batch(
-                [messages[i] for i in indices], now=now
+                [messages[i] for i in indices], now=arrival
             )
             for index, result in zip(indices, batch.results):
                 results[index] = result

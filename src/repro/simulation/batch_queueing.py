@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ._backend import GeneratorLike
+import numpy as np
+
 from .distributions import Distribution
 from .engine import Engine
 from .metrics import MeasurementWindow
@@ -30,7 +31,7 @@ def simulate_mxg1(
     batch_rate: float,
     batch: "BatchSizeLaw",
     service: Distribution | ServiceSampler,
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
 ) -> QueueingResults:

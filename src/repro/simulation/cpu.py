@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from ._backend import GeneratorLike
+import numpy as np
+
 from ..core.params import CostParameters
 
 __all__ = ["CpuCostModel", "CostBreakdown"]
@@ -52,7 +53,7 @@ class CpuCostModel:
         self,
         costs: CostParameters,
         jitter_cvar: float = 0.0,
-        rng: Optional[GeneratorLike] = None,
+        rng: Optional[np.random.Generator] = None,
         per_byte_cost: float = 0.0,
     ):
         if jitter_cvar < 0:

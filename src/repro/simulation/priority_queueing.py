@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from ._backend import GeneratorLike
+import numpy as np
 
 from .distributions import Distribution
 from .engine import Engine
@@ -43,7 +43,7 @@ class PriorityStation:
         self,
         engine: Engine,
         classes: Sequence[PriorityClassSpec],
-        rng: GeneratorLike,
+        rng: np.random.Generator,
         window: Optional[MeasurementWindow] = None,
     ):
         if not classes:
@@ -98,7 +98,7 @@ class PriorityStation:
 
 def simulate_priority_mg1(
     classes: Sequence[PriorityClassSpec],
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
 ) -> Dict[str, float]:

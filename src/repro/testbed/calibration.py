@@ -18,12 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-try:  # the fit needs the numeric stack (repro[fast] extra)
-    import numpy as np
-    from scipy.optimize import nnls
-except ImportError:  # pragma: no cover - depends on environment
-    np = None  # type: ignore[assignment]
-    nnls = None
+import numpy as np
+from scipy.optimize import nnls
 
 from ..core.params import CostParameters, FilterType
 from .experiment import MeasurementResult
@@ -78,11 +74,6 @@ def fit_cost_parameters(
     intercept.  Non-negative least squares keeps the constants physical,
     exactly as in the paper's model.
     """
-    if np is None or nnls is None:
-        raise RuntimeError(
-            "fit_cost_parameters needs numpy and scipy; install the"
-            " repro[fast] extra"
-        )
     if len(results) < 3:
         raise ValueError(f"need at least 3 observations to fit 3 constants, got {len(results)}")
     filter_types = {r.config.filter_type for r in results}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from ..simulation._backend import GeneratorLike
+import numpy as np
 
 from ..broker import Message
 from ..simulation import Engine
@@ -107,7 +107,7 @@ class PoissonPublisher:
         server: SimulatedJMSServer,
         rate: float,
         message_factory: Callable[[], Message],
-        rng: GeneratorLike,
+        rng: np.random.Generator,
         name: str = "poisson-publisher",
         stop_time: Optional[float] = None,
         batch: int = 1,

@@ -1,11 +1,4 @@
-"""Collection guards and shared invariant helpers.
-
-The broker and simulation packages run on the standard library alone
-(numpy is the ``repro[fast]`` extra), but the analysis/core layers and
-everything built on them use numpy/scipy directly.  Without numpy those
-suites cannot even be imported, so they are excluded from collection
-instead of erroring out — what remains still exercises the full
-dependency-free surface (broker, selectors, dispatch, simulation).
+"""Shared invariant helpers.
 
 The :func:`assert_conserved` fixture is the single statement of the
 message-conservation invariant ("every accepted message has exactly one
@@ -13,38 +6,6 @@ fate") shared by the broker, faults, overload and durability suites.
 """
 
 import pytest
-
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on environment
-    _HAVE_NUMPY = False
-
-collect_ignore: list = []
-
-if not _HAVE_NUMPY:  # pragma: no cover - depends on environment
-    collect_ignore = [
-        "analysis",
-        "architectures",
-        "core",
-        "durability",  # capacity sweep folds into the numpy-backed Eq. 1/2
-        "faults",
-        "integration",
-        "overload",
-        "testbed",
-        # the mesh itself is numpy-free; only its capacity model is not
-        "mesh/test_mesh_capacity.py",
-        # resilience primitives (budget/deadline/hedge) are numpy-free;
-        # the fixed-point model and the DES harnesses are not
-        "resilience/test_fixed_point.py",
-        "resilience/test_amplification.py",
-        "resilience/test_storm_harness.py",
-        "resilience/test_deadline_propagation.py",
-        # the CLI wires in the (numpy-backed) analysis layer at import
-        "test_cli.py",
-        "test_doctests.py",
-    ]
 
 
 def check_conserved(stats, consumers=(), context=""):

@@ -5,8 +5,8 @@ from repro.mesh.sharded import ShardedBroker
 from repro.overload.health import HealthState
 
 
-def build_mesh():
-    mesh = ShardedBroker(["s0", "s1", "s2"])
+def build_mesh(hop_latency=0.0):
+    mesh = ShardedBroker(["s0", "s1", "s2"], hop_latency=hop_latency)
     for i in range(6):
         mesh.subscribe(
             f"sub{i}",
@@ -16,10 +16,13 @@ def build_mesh():
     return mesh
 
 
-def topic_messages(count):
+def topic_messages(count, expirations=(None,)):
     return [
         Message(
-            topic=f"orders.t{i % 3}", body=b"m%d" % i, properties={"quantity": i % 5}
+            topic=f"orders.t{i % 3}",
+            body=b"m%d" % i,
+            properties={"quantity": i % 5},
+            expiration=expirations[i % len(expirations)],
         )
         for i in range(count)
     ]
@@ -38,16 +41,22 @@ def inbox_log(mesh):
 
 class TestPublishBatch:
     def test_matches_sequential_routing(self):
-        messages = topic_messages(24)
-        sequential, batched = build_mesh(), build_mesh()
-        seq_results = [sequential.publish(m, now=0.0) for m in messages]
-        bat_results = batched.publish_batch(messages, now=0.0)
-        assert len(bat_results) == len(messages)
-        assert inbox_log(sequential) == inbox_log(batched)
-        assert [r.copies_delivered for r in seq_results] == [
-            r.copies_delivered for r in bat_results
-        ]
-        assert sequential.routed_publishes == batched.routed_publishes == 24
+        # Second pass: a 0.5 s hop sheds the messages that expire at 0.3 s
+        # mid-hop; those expiring at 0.8 s still land.
+        for hop_latency, expirations in ((0.0, (None,)), (0.5, (None, 0.3, 0.8))):
+            messages = topic_messages(24, expirations)
+            sequential, batched = build_mesh(hop_latency), build_mesh(hop_latency)
+            seq_results = [sequential.publish(m, now=0.0) for m in messages]
+            bat_results = batched.publish_batch(messages, now=0.0)
+            assert len(bat_results) == len(messages)
+            assert [r is None for r in seq_results] == [r is None for r in bat_results]
+            assert inbox_log(sequential) == inbox_log(batched)
+            assert [r and r.copies_delivered for r in seq_results] == [
+                r and r.copies_delivered for r in bat_results
+            ]
+            assert sequential.expired_on_hop == batched.expired_on_hop
+            assert sequential.expired_on_hop == (8 if hop_latency else 0)
+            assert sequential.routed_publishes == batched.routed_publishes == 24
 
     def test_unavailable_owner_refuses_whole_slice(self):
         messages = topic_messages(12)

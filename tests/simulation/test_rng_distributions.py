@@ -1,10 +1,13 @@
 """Tests for RNG streams and sampling distributions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation import (
+    BatchSampler,
     Deterministic,
     Empirical,
     Erlang,
@@ -14,6 +17,7 @@ from repro.simulation import (
     Lognormal,
     RandomStreams,
     Uniform,
+    simulate_mg1,
     stable_hash,
 )
 
@@ -196,3 +200,63 @@ class TestMomentConsistencyProperty:
     def test_gamma_cvar_formula(self, shape, scale):
         d = Gamma(shape, scale)
         assert d.cvar == pytest.approx(1.0 / np.sqrt(shape), rel=1e-9)
+
+
+class TestBatchSampler:
+    def test_batched_draws_match_sample_many_chunks(self):
+        """A BatchSampler on an exclusive stream replays ``sample_many``."""
+        dist = Exponential(5.0)
+        rng_a = RandomStreams(seed=11).stream("batch")
+        rng_b = RandomStreams(seed=11).stream("batch")
+        sampler = BatchSampler(dist, rng_a, batch=8)
+        drawn = [sampler() for _ in range(16)]
+        expected = list(dist.sample_many(rng_b, 8)) + list(dist.sample_many(rng_b, 8))
+        assert drawn == pytest.approx(expected)
+
+    def test_batch_must_be_positive(self):
+        with pytest.raises(ValueError):
+            BatchSampler(Exponential(1.0), RandomStreams(seed=1).stream("x"), batch=0)
+
+    def test_mg1_batch_one_is_bit_identical_to_default(self):
+        """batch=1 must preserve the historical draw order exactly."""
+        base = simulate_mg1(
+            50.0, Exponential(100.0), RandomStreams(seed=5).stream("mg1"), horizon=20.0
+        )
+        batched = simulate_mg1(
+            50.0,
+            Exponential(100.0),
+            RandomStreams(seed=5).stream("mg1"),
+            horizon=20.0,
+            batch=1,
+        )
+        assert batched == base
+
+    def test_mg1_large_batch_statistically_consistent(self):
+        """batch>1 reorders the shared stream (documented) but the
+        steady-state answer must agree with the single-draw run."""
+        base = simulate_mg1(
+            50.0, Exponential(100.0), RandomStreams(seed=5).stream("mg1"), horizon=200.0
+        )
+        batched = simulate_mg1(
+            50.0,
+            Exponential(100.0),
+            RandomStreams(seed=6).stream("mg1"),
+            horizon=200.0,
+            batch=256,
+        )
+        # M/M/1 at rho=0.5: E[W] = rho/(mu - lambda) = 0.01 s.
+        assert base.mean_wait == pytest.approx(0.01, rel=0.25)
+        assert batched.mean_wait == pytest.approx(0.01, rel=0.25)
+
+    def test_hyperexponential_sample_many_moments(self):
+        dist = Hyperexponential(probabilities=(0.5, 0.5), rates=(1.0, 10.0))
+        rng = RandomStreams(seed=9).stream("hyper")
+        values = list(dist.sample_many(rng, 4000))
+        assert sum(values) / len(values) == pytest.approx(dist.mean, rel=0.1)
+
+    def test_erlang_sample_many_positive(self):
+        dist = Erlang(3, 2.0)
+        rng = RandomStreams(seed=9).stream("erlang")
+        values = list(dist.sample_many(rng, 100))
+        assert all(v > 0 for v in values)
+        assert math.isfinite(sum(values))

@@ -7,8 +7,10 @@ escape hatch stays out of ``src/repro`` (the filter index used to need it
 before :class:`CorrelationIdFilter` grew public accessors).
 """
 
+import ast
 import pathlib
 import py_compile
+import re
 import shutil
 import subprocess
 import sys
@@ -106,7 +108,7 @@ def test_check_static_covers_hotpath_surface():
     assert "repro.broker.selector.compile" in check_static.IMPORT_SMOKE
     assert "repro.broker.dispatch_cache" in check_static.IMPORT_SMOKE
     assert "repro.bench.hotpath" in check_static.IMPORT_SMOKE
-    assert "repro.simulation._backend" in check_static.IMPORT_SMOKE
+    assert "repro.simulation.rng" in check_static.IMPORT_SMOKE
     assert ["bench", "--help"] in [list(c) for c in check_static.CLI_SMOKE]
     suites = [s.split("::")[0] for s in check_static.EQUIVALENCE_SUITES]
     assert "tests/broker/test_selector_compile.py" in suites
@@ -121,10 +123,21 @@ def test_strict_mypy_scope_includes_hotpath():
     assert '"repro.bench.*"' in text
 
 
-def test_numpy_is_an_optional_extra():
-    """numpy/scipy live in the [fast] extra, not core dependencies."""
-    text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    assert 'fast = ["numpy' in text
-    dependencies = text.split("dependencies = [", 1)[1].split("]", 1)[0]
-    assert "numpy" not in dependencies
-    assert "scipy" not in dependencies
+def test_declared_dependencies_cover_third_party_imports():
+    """Every non-stdlib package ``src/repro`` imports is a declared dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in _python_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                imported.add(node.module.split(".")[0])
+    third_party = {
+        name for name in imported if name not in sys.stdlib_module_names and name != "repro"
+    }
+    with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+        requirements = tomllib.load(handle)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower() for req in requirements}
+    assert third_party, "expected src/repro to import numpy and scipy"
+    assert third_party <= declared, f"undeclared dependencies: {third_party - declared}"

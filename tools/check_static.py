@@ -59,7 +59,7 @@ IMPORT_SMOKE = (
     "repro.mesh.harness",
     "repro.analysis.overload",
     "repro.architectures.failover",
-    "repro.simulation._backend",
+    "repro.simulation.rng",
     "repro.statics",
     "repro.statics.engine",
     "repro.resilience",

@@ -185,42 +185,3 @@ class FilterIndex:
             matches=tuple(matches),
             filters_evaluated=evaluations,
         )
-
-    def plan_batch(self, messages: Sequence[Message]) -> List[DispatchPlan]:
-        """Match a batch with the shared-group loop inverted.
-
-        Group-outer / message-inner: each shared filter's hoisted matcher
-        runs over the whole batch before the next group is touched, so
-        per-group state (the matcher closure, the fan-out list) stays hot
-        instead of being re-fetched per message.  Verdicts and the
-        per-message evaluation bill are identical to calling
-        :meth:`plan` on each message.
-        """
-        per_message: List[List[Subscription]] = [list(self._trivial) for _ in messages]
-        evaluations = 0
-        if self._exact_cid:
-            evaluations += 1
-            exact = self._exact_cid
-            for index, message in enumerate(messages):
-                cid = message.correlation_id
-                if cid is not None:
-                    per_message[index].extend(exact.get(cid, ()))
-        for group in self._shared.values():
-            evaluations += 1
-            matcher = group.matcher
-            fan_out = group.subscriptions
-            for index, message in enumerate(messages):
-                if matcher(message):
-                    per_message[index].extend(fan_out)
-        order = self._order
-        plans: List[DispatchPlan] = []
-        for message, matches in zip(messages, per_message):
-            matches.sort(key=lambda s: order[s.subscription_id])
-            plans.append(
-                DispatchPlan(
-                    message=message,
-                    matches=tuple(matches),
-                    filters_evaluated=evaluations,
-                )
-            )
-        return plans

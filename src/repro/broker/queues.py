@@ -318,49 +318,34 @@ class PointToPointQueue:
                 )
 
     def send(self, message: Message, now: float = 0.0) -> bool:
-        """Enqueue one message; returns True if it was delivered at once.
-
-        On a bounded queue a send that would overflow the backlog invokes
-        the drop policy *after* the drain pass, so a message an attached
-        consumer can take immediately is never shed.
-
-        On a journalled queue, a persistent message is written ahead to
-        the journal *before* it becomes visible; if that append fails the
-        send is rejected (returns False) without touching queue state —
-        the message was never committed.
-        """
-        if message.expired(now):
-            self.expired += 1
-            if self.stats is not None:
-                self.stats.expired += 1
-            return False
-        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-            if not self._journal_safe("log_publish", "queue", self.name, message, now=now):
-                return False
-            self._journaled.add(message.message_id)
-        self.enqueued += 1
-        self._backlog.append((message, False))
-        before = self.delivered
-        self._drain(now)
-        while self.capacity is not None and len(self._backlog) > self.capacity:
-            self._shed_overflow(now)
-        return self.delivered > before
+        """Enqueue one message (a batch of one); returns True if it was
+        delivered to a consumer at once."""
+        return self.send_batch((message,), now=now) > 0
 
     def send_batch(self, messages: Sequence[Message], now: float = 0.0) -> int:
         """Enqueue a batch of messages in one ledger transaction.
 
         Returns the number of messages delivered to a consumer inbox
-        during the call.  Observable per-message fates (delivery order,
-        expiry, journal rejection, overflow shedding) are exactly those
-        of calling :meth:`send` once per message in order; what batching
-        changes is the journal write pattern: all write-ahead PUBLISH
-        appends happen back to back *before* any backlog mutation, so
-        under a group-commit sync policy the whole batch shares fsyncs
-        (the ``t_sync/b`` amortization) instead of paying one per send.
+        during the call.  Each message's fate is the one it would get
+        sent alone, in order:
 
-        The drain/shed pass still runs per message — draining once at
-        the end would shed arrivals a sequential sender's consumers
-        would have absorbed between sends on a bounded queue.
+        - an expired message is counted and never enqueued;
+        - on a journalled queue a persistent message is written ahead to
+          the journal *before* it becomes visible; if that append fails
+          the message is rejected without touching queue state — it was
+          never committed;
+        - on a bounded queue an arrival that would overflow the backlog
+          invokes the drop policy *after* the drain pass, so a message an
+          attached consumer can take immediately is never shed.
+
+        What batching changes is the journal write pattern: all
+        write-ahead PUBLISH appends happen back to back *before* any
+        backlog mutation, so under a group-commit sync policy the whole
+        batch shares fsyncs (the ``t_sync/b`` amortization) instead of
+        paying one per send.  The drain/shed pass still runs per
+        message — draining once at the end would shed arrivals a
+        sequential sender's consumers would have absorbed between sends
+        on a bounded queue.
         """
         delivered_before = self.delivered
         admitted: List[Message] = []

@@ -34,13 +34,7 @@ from .analysis import (
     simplify,
     type_check,
 )
-from .compile import (
-    CompiledSelector,
-    compilation_enabled,
-    compile_ast,
-    compiled_for_ast,
-    set_compilation,
-)
+from .compile import CompiledSelector, compile_ast, compiled_for_ast
 from .ast import (
     Between,
     Binary,
@@ -81,8 +75,6 @@ __all__ = [
     "CompiledSelector",
     "compile_ast",
     "compiled_for_ast",
-    "compilation_enabled",
-    "set_compilation",
     # static analysis
     "SelectorAnalysis",
     "SelectorType",
@@ -103,11 +95,10 @@ class Selector:
 
     Parsing happens once at construction (raising
     :class:`~repro.broker.errors.InvalidSelectorError` eagerly, as a JMS
-    provider must when the subscription is created).  Matching normally
-    runs through a closure compiled from the canonical AST
-    (:mod:`repro.broker.selector.compile`); set
-    ``REPRO_SELECTOR_COMPILE=0`` or call :func:`set_compilation` to fall
-    back to the tree-walking interpreter.
+    provider must when the subscription is created).  Matching runs
+    through a closure compiled from the canonical AST
+    (:mod:`repro.broker.selector.compile`); :meth:`evaluate` keeps the
+    tree-walking interpreter as the reference it is checked against.
     """
 
     __slots__ = ("text", "ast", "identifiers", "_canonical", "_matcher")
@@ -127,34 +118,22 @@ class Selector:
         return matcher(message)
 
     def matcher(self) -> Callable[[Any], bool]:
-        """The hot-path predicate, for callers that evaluate in a loop.
-
-        Built once per selector: a compiled closure when compilation is
-        enabled, otherwise a binding of the tree-walking interpreter.
-        """
+        """The hot-path predicate, for callers that evaluate in a loop
+        (the compiled closure, built once per selector)."""
         matcher = self._matcher
         if matcher is None:
             matcher = self._build_matcher()
         return matcher
 
     def _build_matcher(self) -> Callable[[Any], bool]:
-        if compilation_enabled():
-            matcher = compiled_for_ast(self.canonical).matches
-        else:
-            ast = self.ast
-
-            def matcher(message: Any, _ast: Expr = ast) -> bool:
-                return evaluate(_ast, message) is True
-
+        matcher = compiled_for_ast(self.canonical).matches
         self._matcher = matcher
         return matcher
 
     @property
-    def compiled(self) -> CompiledSelector | None:
-        """The shared compiled form, or None when compilation is off."""
-        if compilation_enabled():
-            return compiled_for_ast(self.canonical)
-        return None
+    def compiled(self) -> CompiledSelector:
+        """The shared compiled form."""
+        return compiled_for_ast(self.canonical)
 
     def evaluate(self, message: Any):
         """Raw three-valued result (True / False / UNKNOWN)."""

@@ -10,20 +10,14 @@ lists frozen into sets — and ``compile()``-d into a single code object.
 Evaluating a message is then one function call.
 
 Semantics are *exactly* the evaluator's (the hypothesis equivalence
-suite in ``tests/broker/test_compile_equivalence.py`` proves it on
+suite in ``tests/broker/test_selector_compile.py`` proves it on
 randomized ASTs and messages): ``None`` represents SQL NULL/UNKNOWN
 inside the generated code and is mapped back to
 :data:`~repro.broker.selector.evaluator.UNKNOWN` at the API boundary.
-
-The interpreter remains available as a fallback: set the environment
-variable ``REPRO_SELECTOR_COMPILE=0`` before import, or call
-:func:`set_compilation` at runtime, and every subsequently-built matcher
-walks the tree again.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import InvalidSelectorError
@@ -45,8 +39,6 @@ __all__ = [
     "CompiledSelector",
     "compile_ast",
     "compiled_for_ast",
-    "compilation_enabled",
-    "set_compilation",
 ]
 
 #: JMS header fields a selector identifier may name.  These never collide
@@ -67,28 +59,6 @@ _HEADER_NAMES = frozenset(
 
 _COMPARISON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
-
-# Opt-out escape hatch only: flipping it changes *speed*, never results
-# (check_static's equivalence smoke enforces exactly that).
-_enabled = os.environ.get("REPRO_SELECTOR_COMPILE", "1") != "0"  # repro: ignore[SIM004]
-
-
-def compilation_enabled() -> bool:
-    """Is the compiled hot path active for newly-built matchers?"""
-    return _enabled
-
-
-def set_compilation(enabled: bool) -> bool:
-    """Toggle selector compilation; returns the previous setting.
-
-    Only affects matchers built *after* the call — a
-    :class:`~repro.broker.selector.Selector` caches the matcher it built
-    first.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
 
 
 class CompiledSelector:

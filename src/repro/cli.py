@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     mesh.add_argument(
         "--capacity",
         action="store_true",
-        help="also validate the capacity model against the DES (needs numpy)",
+        help="also validate the capacity model against the DES",
     )
 
     batch = commands.add_parser(

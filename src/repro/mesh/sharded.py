@@ -346,28 +346,9 @@ class ShardedBroker:
         return self.owner_shard("queue", name).broker.queues.create(name)
 
     def send(self, name: str, message: Message, now: float = 0.0) -> bool:
-        """Route one queue send to the owner shard.
-
-        Mirrors :meth:`~repro.broker.queues.PointToPointQueue.send`
-        (True iff delivered to a consumer at once); additionally returns
-        False without enqueueing when the key is mid-handoff
-        (``deferred_migrating``) or the owner shard is shedding/crashed
-        (``shed_unavailable`` — degraded-mode routing: only that shard's
-        partitions are affected, the mesh stays available).
-        """
-        if self.membership.table.is_migrating(placement_key("queue", name)):
-            self.deferred_migrating += 1
-            return False
-        shard = self.owner_shard("queue", name)
-        if not shard.available:
-            self.shed_unavailable += 1
-            return False
-        self.routed_sends += 1
-        arrival = now + self.hop_latency
-        if self.hop_latency > 0.0 and message.expired(arrival):
-            self.expired_on_hop += 1
-            return False
-        return shard.broker.queues.create(name).send(message, now=arrival)
+        """Route one queue send (a batch of one); True iff delivered to a
+        consumer at once."""
+        return self.send_batch(name, (message,), now) > 0
 
     def send_batch(self, name: str, messages: Sequence[Message], now: float = 0.0) -> int:
         """Route a whole batch to one queue with a single routing decision.
@@ -376,10 +357,15 @@ class ShardedBroker:
         for the batch instead of once per message; the owner queue then
         ingests the batch through
         :meth:`~repro.broker.queues.PointToPointQueue.send_batch` (one
-        ledger transaction, journal appends riding group-commit).
-        Refusal counters still count *messages*, matching what a
-        sequential :meth:`send` loop would have recorded.  Returns the
-        number of messages delivered to a consumer during the call.
+        ledger transaction, journal appends riding group-commit).  The
+        batch is refused without enqueueing when the key is mid-handoff
+        (``deferred_migrating``) or the owner shard is shedding/crashed
+        (``shed_unavailable`` — degraded-mode routing: only that shard's
+        partitions are affected, the mesh stays available); messages
+        expired by the time they land after ``hop_latency`` are shed
+        into ``expired_on_hop``.  Refusal counters count *messages*,
+        matching what a one-at-a-time loop would have recorded.  Returns
+        the number of messages delivered to a consumer during the call.
         """
         count = len(messages)
         if count == 0:
@@ -412,32 +398,8 @@ class ShardedBroker:
     # Topic domain (concrete + wildcard cross-shard dispatch)
     # ------------------------------------------------------------------
     def publish(self, message: Message, now: float = 0.0) -> Optional[PublishResult]:
-        """Route one publish to the topic's owner shard.
-
-        Installs any pending wildcard subscriptions for this topic on
-        the owner shard first, so the fan-out — including cross-shard
-        wildcard subscribers — happens through that shard's FilterIndex
-        in a single dispatch pass.  Returns ``None`` when the owner
-        shard is unavailable (its partitions shed; the mesh stays up).
-        """
-        if self.membership.table.is_migrating(placement_key("topic", message.topic)):
-            self.deferred_migrating += 1
-            return None
-        shard = self.owner_shard("topic", message.topic)
-        if not shard.available:
-            self.shed_unavailable += 1
-            return None
-        # First route materializes the topic on its owner shard.
-        shard.broker.topics.create(message.topic)
-        self._install_wildcards(shard, message.topic)
-        self.routed_publishes += 1
-        arrival = now + self.hop_latency
-        if self.hop_latency > 0.0 and message.expired(arrival):
-            # Dead on arrival at the owner shard: shed mid-hop instead
-            # of paying a full dispatch for an expired message.
-            self.expired_on_hop += 1
-            return None
-        return shard.broker.publish(message, now=arrival)
+        """Route one publish (a batch of one); ``None`` where refused."""
+        return self.publish_batch((message,), now)[0]
 
     def publish_batch(
         self, messages: Sequence[Message], now: float = 0.0
@@ -446,13 +408,18 @@ class ShardedBroker:
 
         Messages are grouped by owner shard; each distinct topic pays its
         migration check, owner lookup, availability check and wildcard
-        install *once* for the whole batch, and each shard ingests its
+        install *once* for the whole batch.  Installing the pending
+        wildcard subscriptions for a topic on its owner shard first means
+        the fan-out — cross-shard wildcard subscribers included — happens
+        in that shard's single dispatch pass.  Each shard ingests its
         slice through :meth:`~repro.broker.server.Broker.publish_batch`
         (grouped planning, coalesced delivery).  Returns per-message
-        results in input order, ``None`` where the scalar :meth:`publish`
-        would have refused (owner migrating or unavailable, or expired by
-        the time it lands after ``hop_latency``); the refusal counters
-        count messages, matching the sequential loop.
+        results in input order, ``None`` where the message was refused:
+        owner migrating (``deferred_migrating``) or unavailable
+        (``shed_unavailable`` — its partitions shed, the mesh stays up),
+        or expired by the time it lands after ``hop_latency``
+        (``expired_on_hop``, shed mid-hop instead of paying a full
+        dispatch).  The refusal counters count messages.
         """
         results: List[Optional[PublishResult]] = [None] * len(messages)
         arrival = now + self.hop_latency

@@ -29,7 +29,7 @@ SELECTORS = (
 )
 
 
-def make_broker(topic="t", durable_offline=False, journal=None, memo=False):
+def make_broker(topic="t", durable_offline=False, journal=None, memo=False, index=False):
     broker = Broker(topics=[topic], journal=journal)
     for i, text in enumerate(SELECTORS):
         broker.add_subscriber(f"s{i}")
@@ -40,6 +40,8 @@ def make_broker(topic="t", durable_offline=False, journal=None, memo=False):
         broker.add_subscriber("d0")
         broker.subscribe("d0", topic, PropertyFilter("quantity > 0"), durable=True)
         broker.disconnect("d0")
+    if index:
+        broker.install_filter_index(canonicalize=True)
     if memo:
         broker.install_dispatch_memo()
     return broker
@@ -75,11 +77,11 @@ message_strategy = st.builds(
 class TestBatchPublishEquivalence:
     """Property suite run by the check_static equivalence gate."""
 
-    @given(st.lists(message_strategy, min_size=0, max_size=12))
+    @given(st.lists(message_strategy, min_size=0, max_size=12), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_delivery_matches_sequential_loop(self, messages):
-        sequential = make_broker(durable_offline=True)
-        batched = make_broker(durable_offline=True)
+    def test_delivery_matches_sequential_loop(self, messages, index):
+        sequential = make_broker(durable_offline=True, index=index)
+        batched = make_broker(durable_offline=True, index=index)
         now = 5.0
         seq_results = [sequential.publish(m, now=now) for m in messages]
         batch = batched.publish_batch(messages, now=now)
@@ -151,9 +153,12 @@ class TestBatchAccounting:
         broker.topics.freeze()
         good = Message(topic="t")
         bad = Message(topic="nope")
+        before = (broker.stats.snapshot(), inbox_log(broker))
         try:
             broker.publish_batch([good, bad], now=0.0)
         except Exception as batch_error:
+            # A rejected batch leaves no trace: no counter, no delivery.
+            assert (broker.stats.snapshot(), inbox_log(broker)) == before
             try:
                 broker.publish(bad, now=0.0)
             except Exception as scalar_error:

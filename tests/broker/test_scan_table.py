@@ -4,13 +4,13 @@
 :class:`~repro.broker.dispatch.ScanTable` — the topic's subscriptions
 lowered once to ``(subscription, matcher)`` pairs.  The lowering may only
 change speed: the match tuple (in subscription order) and the
-``filters_evaluated`` bill must equal those of a loop that calls
-``Subscription.matches`` on every non-trivial filter.  The broker caches
-one table per topic, so every event that changes a topic's subscription
-set must make the next plan equal to a freshly built broker's.
+``filters_evaluated`` bill must equal those of a loop that judges every
+non-trivial filter on its own, property selectors by the interpreter.
+The broker caches one table per topic, so every event that changes a
+topic's subscription set must make the next plan equal to a freshly
+built broker's.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker import (
@@ -23,7 +23,6 @@ from repro.broker import (
     plan_dispatch_batch,
 )
 from repro.broker.dispatch import ScanTable
-from repro.broker.selector import set_compilation
 from repro.broker.subscriptions import Subscriber, Subscription
 from repro.broker.topics import Topic
 
@@ -33,7 +32,7 @@ TOPIC = "t"
 # Equivalence with the reference loop
 # ----------------------------------------------------------------------
 #: (kind, spec) filter descriptions; built into fresh filter objects per
-#: example, so each example's selectors pick up the compilation setting.
+#: example.
 _FILTER_SPECS = st.one_of(
     st.just(("all", "")),
     st.sampled_from(["#0", "#1", "7", "x"]).map(lambda spec: ("cid", spec)),
@@ -87,33 +86,32 @@ def build_subscriptions(specs):
 
 
 def reference_plan(message, subscriptions):
-    """The scan the table replaces: one ``Subscription.matches`` per filter."""
+    """The scan the table replaces: one verdict per non-trivial filter,
+    property selectors judged by the tree-walking interpreter so the
+    compiled matchers in the table are checked against it."""
     matches, evaluated = [], 0
     for subscription in subscriptions:
-        if subscription.filter.is_trivial:
+        filter_ = subscription.filter
+        if filter_.is_trivial:
             matches.append(subscription)
             continue
         evaluated += 1
-        if subscription.matches(message):
+        if isinstance(filter_, PropertyFilter):
+            hit = filter_.selector.evaluate(message) is True
+        else:
+            hit = subscription.matches(message)
+        if hit:
             matches.append(subscription)
     return tuple(matches), evaluated
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
     @given(
         specs=st.lists(_FILTER_SPECS, max_size=14),
         messages=st.lists(_MESSAGES, min_size=1, max_size=6),
     )
     @settings(max_examples=120, deadline=None)
-    def test_table_scan_equals_reference_loop(self, compiled, specs, messages):
-        previous = set_compilation(compiled)
-        try:
-            self.check(specs, messages)
-        finally:
-            set_compilation(previous)
-
-    def check(self, specs, messages):
+    def test_table_scan_equals_reference_loop(self, specs, messages):
         subscriptions = build_subscriptions(specs)
         table = ScanTable(subscriptions)
         singles = []

@@ -25,14 +25,11 @@ from repro.broker.selector import (
     IsNull,
     Like,
     Literal,
-    Selector,
     Unary,
-    compilation_enabled,
     compile_ast,
     compiled_for_ast,
     evaluate,
     parse,
-    set_compilation,
 )
 from repro.broker.selector.analysis import simplify
 from repro.broker.selector.evaluator import UNKNOWN
@@ -127,33 +124,6 @@ class TestCompiledSemantics:
 
         with pytest.raises(InvalidSelectorError):
             compile_ast(Like(Identifier("a"), "!", "!", False))
-
-
-class TestCompilationToggle:
-    def test_flag_round_trip(self):
-        original = compilation_enabled()
-        try:
-            set_compilation(False)
-            assert not compilation_enabled()
-            set_compilation(True)
-            assert compilation_enabled()
-        finally:
-            set_compilation(original)
-
-    def test_interpreter_fallback_matches_compiled(self):
-        message = Message(topic="t", properties={"price": 120.0, "region": "EU"})
-        original = compilation_enabled()
-        try:
-            set_compilation(True)
-            fast = Selector("price > 100 AND region = 'EU'")
-            assert fast.compiled
-            assert fast.matches(message)
-            set_compilation(False)
-            slow = Selector("price > 100 AND region = 'EU'")
-            assert not slow.compiled
-            assert slow.matches(message)
-        finally:
-            set_compilation(original)
 
 
 # ----------------------------------------------------------------------

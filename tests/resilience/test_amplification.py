@@ -2,8 +2,6 @@
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.resilience.experiment import (
     ResilienceCellConfig,
     run_resilience_cell,

@@ -9,8 +9,6 @@ and the end-to-end witness that an expired message is never dispatched.
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.broker.message import Message
 from repro.broker.queues import DropPolicy
 from repro.core.params import FilterType, costs_for

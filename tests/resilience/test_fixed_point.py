@@ -2,8 +2,6 @@
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.params import FilterType, costs_for
 from repro.core.replication import DeterministicReplication
 from repro.core.resilience import (

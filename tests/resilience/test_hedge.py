@@ -1,4 +1,4 @@
-"""Hedge policy semantics; the p99-derived delay needs numpy."""
+"""Hedge policy semantics and the p99-derived delay."""
 
 import pytest
 
@@ -31,7 +31,6 @@ class TestHedgePolicy:
 
 class TestFromQueue:
     def test_delay_is_p99_sojourn(self):
-        pytest.importorskip("numpy")
         from repro.core.mg1 import MG1Queue
         from repro.core.moments import Moments
 
@@ -45,7 +44,6 @@ class TestFromQueue:
         assert policy.delay > queue.mean_wait + service.m1
 
     def test_quantile_validated(self):
-        pytest.importorskip("numpy")
         from repro.core.mg1 import MG1Queue
         from repro.core.moments import Moments
 

@@ -9,8 +9,6 @@ double-delivers.
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.resilience.harness import StormHarnessConfig, run_storm_harness
 
 
